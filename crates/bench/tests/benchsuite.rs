@@ -7,12 +7,20 @@ use partita_bench::suite::{
     WALL_NOISE_FLOOR_US,
 };
 use partita_core::telemetry::json::JsonValue;
+use std::sync::OnceLock;
 
+/// The quick-mode report, run once per test binary and shared: every
+/// test below reads or clones it, and a run takes seconds.
 fn quick_report() -> SuiteReport {
-    run_suite(&SuiteConfig {
-        threads: vec![1],
-        quick: true,
-    })
+    static REPORT: OnceLock<SuiteReport> = OnceLock::new();
+    REPORT
+        .get_or_init(|| {
+            run_suite(&SuiteConfig {
+                threads: vec![1],
+                quick: true,
+            })
+        })
+        .clone()
 }
 
 #[test]
@@ -260,61 +268,44 @@ fn reports_without_a_resolve_section_still_parse() {
 }
 
 #[test]
-fn portfolio_section_races_micro_and_gates_regressions() {
+fn cuts_section_pairs_off_with_root_and_gates_regressions() {
     let baseline = quick_report();
-    // Quick mode races the micro group.
-    let keys: Vec<&str> = baseline.portfolio.iter().map(|(k, _)| k.as_str()).collect();
-    assert_eq!(keys, ["synth:micro"]);
-    let p = &baseline.portfolio[0].1;
-    assert!(p.points > 0, "no feasible point was raced");
+    // Quick mode keeps one exact group (the greedy-backed one has no
+    // search for cuts to act on).
+    let keys: Vec<&str> = baseline.cuts.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["synth:small"]);
+    let c = &baseline.cuts[0].1;
+    let (_, off) = baseline
+        .corpus
+        .iter()
+        .find(|(k, _)| k == "synth:small")
+        .expect("corpus group");
     assert_eq!(
-        p.racers.iter().map(|r| r.wins).sum::<u64>(),
-        p.points,
-        "every raced point is attributed to exactly one racer"
+        (c.off_nodes, c.off_pivots),
+        (off.nodes, off.pivots),
+        "the cuts-off tallies are the corpus section's"
     );
     assert!(
-        p.racers.iter().map(|r| r.backend.as_str()).eq([
-            "branch_bound",
-            "conflict_enum",
-            "lagrangian"
-        ]),
-        "racer line-up must match the portfolio default"
-    );
-    let bb = &p.racers[0];
-    assert_eq!(bb.nodes, p.bb_nodes, "bb_nodes mirrors the first racer");
-    assert!(
-        p.best_nodes <= p.bb_nodes,
-        "the per-point best racer can never cost more than branch-and-bound alone"
+        c.root_nodes < c.off_nodes,
+        "root cuts must shrink the tree: {} !< {}",
+        c.root_nodes,
+        c.off_nodes
     );
 
-    // Per-racer node growth is a regression.
     let mut current = baseline.clone();
-    current.portfolio[0].1.racers[1].nodes += 1;
+    current.cuts[0].1.root_pivots += 1;
     let regressions = compare_reports(&baseline, &current, DEFAULT_WALL_THRESHOLD);
     assert!(
         regressions
             .iter()
-            .any(|m| m.contains("portfolio/synth:micro") && m.contains("node count regressed")),
+            .any(|m| m.contains("cuts/synth:small") && m.contains("root-cut pivots regressed")),
         "{regressions:?}"
     );
-
-    // Race wall is machine-dependent and must NOT gate.
     let mut current = baseline.clone();
-    current.portfolio[0].1.race_wall_us = current.portfolio[0].1.race_wall_us.saturating_mul(100);
+    current.cuts[0].1.root_wall_us = current.cuts[0].1.root_wall_us.saturating_mul(100);
     assert!(
         compare_reports(&baseline, &current, DEFAULT_WALL_THRESHOLD).is_empty(),
-        "race wall is not a portable gate"
-    );
-
-    // A portfolio group the baseline had must not vanish.
-    let mut current = baseline.clone();
-    current.portfolio.clear();
-    let regressions = compare_reports(&baseline, &current, DEFAULT_WALL_THRESHOLD);
-    assert!(
-        regressions
-            .iter()
-            .any(|m| m.contains("portfolio/synth:micro: group missing")),
-        "{regressions:?}"
+        "root-cut wall is not a portable gate"
     );
 }
 

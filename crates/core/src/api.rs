@@ -245,9 +245,8 @@ pub struct SolveSpec {
     /// visited points.
     pub rg: u64,
     /// Solver backend. The wire values are the canonical backend names
-    /// ([`Backend::name`]): `branch_bound` / `exhaustive` / `greedy` /
-    /// `lagrangian` / `conflict_enum` / `portfolio`; default
-    /// `branch_bound`. See `docs/BACKENDS.md` for when to use which.
+    /// ([`Backend::name`]): `branch_bound` / `exhaustive` / `greedy`;
+    /// default `branch_bound`. See `docs/BACKENDS.md` for when to use which.
     pub backend: Backend,
     /// Branch-and-bound node cap (default: the [`SolveBudget`] default).
     pub max_nodes: Option<usize>,
@@ -907,6 +906,30 @@ mod tests {
         let err = Request::parse(line).unwrap_err();
         assert_eq!(err.code(), 101);
         assert!(matches!(err, ApiError::UnsupportedVersion { got: 99 }));
+    }
+
+    #[test]
+    fn retired_backends_are_typed_errors() {
+        for retired in ["portfolio", "lagrangian", "conflict_enum"] {
+            let line = format!(
+                r#"{{"api_version":1,"id":"x","tenant":"t","method":"solve","instance":"i","backend":"{retired}"}}"#
+            );
+            let err = Request::parse(&line).unwrap_err();
+            assert_eq!(err.code(), 104, "{retired}: {err}");
+            assert_eq!(err.kind(), "invalid_params", "{retired}");
+            assert!(
+                err.to_string()
+                    .contains("one of branch_bound/exhaustive/greedy,"),
+                "{retired}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn deeply_nested_line_is_malformed_not_a_crash() {
+        let err = Request::parse(&"[".repeat(500_000)).unwrap_err();
+        assert_eq!(err.code(), 100, "{err}");
+        assert_eq!(err.kind(), "malformed_request");
     }
 
     #[test]

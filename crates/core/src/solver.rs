@@ -11,7 +11,7 @@ use crate::engine::{
 };
 use crate::formulate::{build_model, decode, VarMap};
 use crate::telemetry::{Event, Phase, SpanTimer, TelemetrySink};
-use crate::{ConflictEnumBackend, CoreError, Imp, ImpDb, ImpId, Instance, LagrangianBackend};
+use crate::{CoreError, Imp, ImpDb, ImpId, Instance};
 
 /// Which formulation to solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -155,9 +155,6 @@ pub struct SolveOptions {
     pub(crate) hint: Option<Vec<ImpId>>,
     pub(crate) audit: bool,
     pub(crate) cut_policy: CutPolicy,
-    /// Racer line-up for [`Backend::Portfolio`] (`None` = the default
-    /// line-up, see `docs/BACKENDS.md`). Ignored by every other backend.
-    pub(crate) racers: Option<Vec<Backend>>,
     /// Retained root-LP basis from a previous same-shaped solve (set by the
     /// delta/sweep layers, never by callers directly). Like `hint` and
     /// `audit`, this can never change the returned selection — only the
@@ -177,7 +174,6 @@ impl SolveOptions {
             hint: None,
             audit: crate::engine::default_audit(),
             cut_policy: CutPolicy::default(),
-            racers: None,
             root_basis: None,
         }
     }
@@ -317,34 +313,6 @@ impl SolveOptions {
     #[must_use]
     pub fn cut_policy_active(&self) -> CutPolicy {
         self.cut_policy
-    }
-
-    /// Overrides the [`Backend::Portfolio`] racer line-up. [`Backend::Portfolio`]
-    /// entries are ignored (a race cannot nest a race); an empty line-up
-    /// makes the portfolio exhaust immediately and defer to the budget's
-    /// fallback. Other backends ignore this knob.
-    ///
-    /// ```
-    /// use partita_core::{Backend, SolveOptions};
-    ///
-    /// let opts = SolveOptions::default()
-    ///     .backend(Backend::Portfolio)
-    ///     .racers(vec![Backend::BranchBound, Backend::ConflictEnum]);
-    /// assert_eq!(
-    ///     opts.racer_lineup(),
-    ///     Some(&[Backend::BranchBound, Backend::ConflictEnum][..])
-    /// );
-    /// ```
-    #[must_use]
-    pub fn racers(mut self, racers: Vec<Backend>) -> SolveOptions {
-        self.racers = Some(racers);
-        self
-    }
-
-    /// The configured racer line-up (`None` = the default line-up).
-    #[must_use]
-    pub fn racer_lineup(&self) -> Option<&[Backend]> {
-        self.racers.as_deref()
     }
 }
 
@@ -658,7 +626,7 @@ pub(crate) fn solve_prepared(
     trace.num_imps = db.len();
 
     let span = SpanTimer::start(Phase::Solve);
-    let (solution, backend) = dispatch(instance, db, options, model, map, sink)?;
+    let (solution, backend) = dispatch(instance, db, options, model, map)?;
     trace.solve = span.finish(sink);
     trace.backend = backend;
     trace.status = solution.status;
@@ -792,38 +760,29 @@ fn dispatch(
     options: &SolveOptions,
     model: &partita_ilp::Model,
     map: &VarMap,
-    sink: &dyn TelemetrySink,
 ) -> Result<(EngineSolution, Backend), CoreError> {
     let budget = &options.budget;
 
     // Lifted-cover strengthening. The strengthened model has the same
     // variables (cuts only add rows), so decoding and seeding are
-    // unaffected; a retained root basis is row-shaped, though, so cut
-    // policies skip basis reuse.
+    // unaffected; a retained root basis is row-shaped, though, so root cuts
+    // skip basis reuse.
     let strengthened;
-    let mut node_cuts: Option<Arc<partita_ilp::cuts::CutSeparator>> = None;
     let model: &partita_ilp::Model = match options.cut_policy {
         CutPolicy::Off => model,
-        CutPolicy::Root | CutPolicy::Node => {
-            let groups = gub_groups(instance, db, map);
-            let root = partita_ilp::cuts::strengthen_root(
+        CutPolicy::Root => {
+            strengthened = partita_ilp::cuts::strengthen_root(
                 model,
-                &groups,
+                &gub_groups(instance, db, map),
                 partita_ilp::simplex::SimplexOptions::default(),
-            )?;
-            strengthened = root.model;
-            if options.cut_policy == CutPolicy::Node {
-                node_cuts = Some(Arc::new(partita_ilp::cuts::CutSeparator::from_model(
-                    &strengthened,
-                    &groups,
-                )));
-            }
+            )?
+            .model;
             &strengthened
         }
     };
 
     let primary: Result<(EngineSolution, Backend), CoreError> = match options.backend {
-        Backend::Exhaustive => ExhaustiveBackend::default()
+        Backend::Exhaustive => ExhaustiveBackend
             .solve(model, budget)
             .map(|s| (s, Backend::Exhaustive)),
         Backend::Greedy => GreedyBackend::new(instance, db, &options.gains, map)
@@ -836,36 +795,15 @@ fn dispatch(
             } else {
                 None
             },
-            cancel: None,
-            shared_bound: None,
-            node_cuts,
         }
         .solve(model, budget)
         .map(|s| (s, Backend::BranchBound)),
-        Backend::Lagrangian => LagrangianBackend::new(instance, db, &options.gains, map)
-            .with_seeds(build_seeds(instance, db, options, model, map))
-            .solve(model, budget)
-            .map(|s| (s, Backend::Lagrangian)),
-        Backend::ConflictEnum => ConflictEnumBackend::new(instance, db, &options.gains, map)
-            .with_seeds(build_seeds(instance, db, options, model, map))
-            .solve(model, budget)
-            .map(|s| (s, Backend::ConflictEnum)),
-        Backend::Portfolio => crate::portfolio::run_race(
-            instance,
-            db,
-            options,
-            model,
-            map,
-            &build_seeds(instance, db, options, model, map),
-            node_cuts,
-            sink,
-        ),
     };
 
     match (primary, budget.fallback) {
         (Err(CoreError::BudgetExhausted), Some(fallback)) => {
             let rescued = match fallback {
-                Backend::Exhaustive => ExhaustiveBackend::default().solve(model, budget),
+                Backend::Exhaustive => ExhaustiveBackend.solve(model, budget),
                 // Falling back to a search backend that just ran dry would
                 // exhaust again; route everything else to greedy.
                 _ => GreedyBackend::new(instance, db, &options.gains, map).solve(model, budget),

@@ -1,11 +1,11 @@
 //! Unified structured telemetry: typed events, pluggable sinks, phase spans.
 //!
 //! Paper reproductions live and die by *comparable* measurements. PRs 1–4
-//! grew three disjoint ad-hoc JSON surfaces ([`SolveTrace::to_json`],
+//! grew three disjoint ad-hoc JSON surfaces (a `SolveTrace` encoder,
 //! [`crate::SweepTrace`], [`crate::AuditReport::to_json`]); this module
 //! replaces the bespoke encoders with one **versioned event schema**: every
 //! line the pipeline emits is a typed [`Event`] serialized as a single JSON
-//! object tagged `{"schema":1,"event":"<kind>", ...}`. The full field-level
+//! object tagged `{"schema":2,"event":"<kind>", ...}`. The full field-level
 //! schema is documented in `docs/TELEMETRY.md`, which is kept honest by a
 //! test diffing the doc's event list against [`EventKind::ALL`].
 //!
@@ -88,9 +88,9 @@ use crate::solver::ProblemKind;
 use crate::Backend;
 
 /// Version of the event schema. Every serialized event carries it as its
-/// first field (`"schema":1`); bump it only with a matching update to
+/// first field (`"schema":2`); bump it only with a matching update to
 /// `docs/TELEMETRY.md` and the downstream scrapers.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Escapes a string for embedding in a hand-rolled JSON document: quotes,
 /// backslashes and control characters, per RFC 8259.
@@ -256,15 +256,11 @@ pub enum EventKind {
     Counter,
     /// A free-form instantaneous gauge sample.
     Gauge,
-    /// One racer of a portfolio solve returned (win or lose).
-    BackendFinished,
-    /// A portfolio race was decided.
-    RaceWon,
 }
 
 impl EventKind {
     /// Every event kind, in the order they are documented.
-    pub const ALL: [EventKind; 17] = [
+    pub const ALL: [EventKind; 15] = [
         EventKind::SolveStarted,
         EventKind::PhaseFinished,
         EventKind::WorkerFinished,
@@ -280,8 +276,6 @@ impl EventKind {
         EventKind::BasisReused,
         EventKind::Counter,
         EventKind::Gauge,
-        EventKind::BackendFinished,
-        EventKind::RaceWon,
     ];
 
     /// The snake_case name serialized into the `event` field.
@@ -303,8 +297,6 @@ impl EventKind {
             EventKind::BasisReused => "basis_reused",
             EventKind::Counter => "counter",
             EventKind::Gauge => "gauge",
-            EventKind::BackendFinished => "backend_finished",
-            EventKind::RaceWon => "race_won",
         }
     }
 }
@@ -497,32 +489,6 @@ pub enum Event {
         /// Sampled value.
         value: f64,
     },
-    /// One racer of a portfolio solve returned. Emitted once per configured
-    /// racer, in racer-configuration order, after every racer has joined —
-    /// so the event stream is deterministic however the race interleaved.
-    BackendFinished {
-        /// Which backend raced.
-        backend: Backend,
-        /// How the racer concluded: `optimal` (audit-clean proven optimum),
-        /// `infeasible` (proven empty), `incumbent` (feasible but not
-        /// proven — including racers cancelled mid-search), `heuristic`,
-        /// `exhausted` (budget gone, nothing to show), or `error`.
-        outcome: String,
-        /// Nodes the racer explored before stopping.
-        nodes_explored: usize,
-        /// Wall time from race start to this racer's return.
-        wall: Duration,
-    },
-    /// A portfolio race was decided.
-    RaceWon {
-        /// The racer whose result was accepted (`None` when the race ended
-        /// with no conclusive winner and the best incumbent was returned).
-        winner: Option<Backend>,
-        /// Racers configured.
-        racers: usize,
-        /// Wall time of the whole race.
-        wall: Duration,
-    },
 }
 
 /// Incremental writer for one serialized event. Field order is the schema's
@@ -594,8 +560,6 @@ impl Event {
             Event::BasisReused { .. } => EventKind::BasisReused,
             Event::Counter { .. } => EventKind::Counter,
             Event::Gauge { .. } => EventKind::Gauge,
-            Event::BackendFinished { .. } => EventKind::BackendFinished,
-            Event::RaceWon { .. } => EventKind::RaceWon,
         }
     }
 
@@ -801,26 +765,6 @@ impl Event {
                 } else {
                     w.raw("value", "null");
                 }
-            }
-            Event::BackendFinished {
-                backend,
-                outcome,
-                nodes_explored,
-                wall,
-            } => {
-                w.string("backend", backend.name());
-                w.string("outcome", outcome);
-                w.raw("nodes_explored", r.effort(*nodes_explored));
-                w.raw("wall_us", r.us(*wall));
-            }
-            Event::RaceWon {
-                winner,
-                racers,
-                wall,
-            } => {
-                w.opt_str("winner", winner.map(Backend::name));
-                w.raw("racers", racers);
-                w.raw("wall_us", r.us(*wall));
             }
         }
         w.finish()
@@ -1065,6 +1009,14 @@ pub mod json {
     //! deliberate simplifications: numbers parse as `f64` (every counter the
     //! pipeline emits fits exactly in an `f64` mantissa) and object keys
     //! keep their **document order** (so tests can assert stable key order).
+    //!
+    //! The parser is recursive, and it also reads untrusted service request
+    //! frames, so nesting is capped at [`MAX_DEPTH`]: a deeper document is a
+    //! [`JsonError`], never a stack overflow.
+
+    /// Deepest array/object nesting [`JsonValue::parse`] accepts. Every
+    /// document the workspace writes nests fewer than ten levels.
+    pub const MAX_DEPTH: usize = 128;
 
     /// A parsed JSON value.
     #[derive(Debug, Clone, PartialEq)]
@@ -1115,6 +1067,7 @@ pub mod json {
             let mut p = Parser {
                 bytes: input.as_bytes(),
                 pos: 0,
+                depth: 0,
             };
             p.skip_ws();
             let value = p.value()?;
@@ -1205,6 +1158,8 @@ pub mod json {
     struct Parser<'a> {
         bytes: &'a [u8],
         pos: usize,
+        /// Arrays/objects currently open around `pos`.
+        depth: usize,
     }
 
     impl<'a> Parser<'a> {
@@ -1245,8 +1200,19 @@ pub mod json {
 
         fn value(&mut self) -> Result<JsonValue, JsonError> {
             match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
+                Some(open @ (b'{' | b'[')) => {
+                    if self.depth == MAX_DEPTH {
+                        return Err(self.err("nesting too deep"));
+                    }
+                    self.depth += 1;
+                    let nested = if open == b'{' {
+                        self.object()
+                    } else {
+                        self.array()
+                    };
+                    self.depth -= 1;
+                    nested
+                }
                 Some(b'"') => Ok(JsonValue::String(self.string()?)),
                 Some(b't') => self.literal("true", JsonValue::Bool(true)),
                 Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -1441,11 +1407,14 @@ mod tests {
             digest: 0xabc,
         };
         let line = e.to_json();
-        assert!(line.starts_with("{\"schema\":1,\"event\":\"cache_lookup\""));
+        assert!(line.starts_with("{\"schema\":2,\"event\":\"cache_lookup\""));
         assert!(line.contains("\"cache\":\"solve\""));
         assert!(line.contains("\"digest\":\"0000000000000abc\""));
         let parsed = JsonValue::parse(&line).unwrap();
-        assert_eq!(parsed.get("schema").and_then(JsonValue::as_u64), Some(1));
+        assert_eq!(
+            parsed.get("schema").and_then(JsonValue::as_u64),
+            Some(u64::from(SCHEMA_VERSION))
+        );
         assert_eq!(parsed.get("hit").and_then(JsonValue::as_bool), Some(true));
     }
 
@@ -1544,5 +1513,15 @@ mod tests {
         assert!(JsonValue::parse("{\"a\":1} junk").is_err());
         assert!(JsonValue::parse("{\"a\":}").is_err());
         assert!(JsonValue::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn parser_caps_nesting_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&nested(json::MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nested(json::MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.message, "nesting too deep");
+        assert_eq!(err.offset, json::MAX_DEPTH);
+        assert!(JsonValue::parse(&"{\"a\":".repeat(json::MAX_DEPTH + 1)).is_err());
     }
 }

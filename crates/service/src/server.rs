@@ -354,6 +354,32 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_frame_gets_a_typed_error_and_the_connection_lives() {
+        let core = Arc::new(ServiceCore::new(ServiceConfig::default()));
+        let input = format!(
+            "{}\n{}\n",
+            "[".repeat(500_000),
+            r#"{"api_version":1,"id":"after","tenant":"t1","method":"ping"}"#
+        );
+        let mut out: Vec<u8> = Vec::new();
+        serve(&core, input.as_bytes(), &mut out, 1, Redaction::None).expect("serve ok");
+        let text = String::from_utf8(out).expect("utf8");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "{text}");
+        assert!(
+            lines[0].contains("\"code\":100,\"kind\":\"malformed_request\""),
+            "{}",
+            lines[0]
+        );
+        assert!(lines[0].contains("nesting too deep"), "{}", lines[0]);
+        assert!(
+            lines[1].contains("\"id\":\"after\"") && lines[1].contains("\"pong\":true"),
+            "{}",
+            lines[1]
+        );
+    }
+
+    #[test]
     fn queue_cap_rejects_with_429() {
         let core = Arc::new(ServiceCore::new(ServiceConfig::default()));
         core.set_policy(

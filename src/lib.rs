@@ -59,15 +59,14 @@
 //!
 //! # Telemetry, not ad-hoc JSON
 //!
-//! Rendering a [`core::SolveTrace`] with its deprecated `to_json` method
-//! is superseded by constructing the telemetry event, which emits the
-//! same bytes and composes with sinks and redaction:
+//! A [`core::SolveTrace`] renders as JSON through its telemetry event,
+//! which composes with sinks and redaction:
 //!
 //! ```
 //! use partita::core::telemetry::Event;
 //! # let trace = partita::core::SolveTrace::default();
 //! let line = Event::SolveFinished { trace }.to_json();
-//! assert!(line.starts_with("{\"schema\":1,\"event\":\"solve_finished\""));
+//! assert!(line.starts_with("{\"schema\":2,\"event\":\"solve_finished\""));
 //! ```
 
 #![forbid(unsafe_code)]

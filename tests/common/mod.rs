@@ -33,25 +33,14 @@ pub fn serialize_selection(sel: &Selection) -> String {
     out
 }
 
-/// The backend the gates run, overridable via `PARTITA_BACKEND` (any
-/// canonical [`Backend::name`], e.g. the CI matrix's `portfolio` leg).
-/// Unset or unknown values fall back to the default backend, so the
-/// always-on gates keep their historical meaning.
-pub fn gate_backend() -> Backend {
-    std::env::var("PARTITA_BACKEND")
-        .ok()
-        .and_then(|v| Backend::ALL.into_iter().find(|b| b.name() == v.trim()))
-        .unwrap_or_default()
-}
-
-/// Solves one sweep point with an explicit branch-and-bound thread count,
-/// on the gate backend (see [`gate_backend`]).
+/// Solves one sweep point by branch-and-bound with an explicit thread
+/// count.
 pub fn solve_with_threads(w: &Workload, rg: Cycles, threads: usize) -> Selection {
     Solver::new(&w.instance)
         .with_imps(w.imps.clone())
         .solve(
             &SolveOptions::problem2(RequiredGains::uniform(rg))
-                .backend(gate_backend())
+                .backend(Backend::BranchBound)
                 .budget(SolveBudget::default().with_threads(threads)),
         )
         .expect("sweep point feasible")
